@@ -17,7 +17,6 @@ from repro.kernel.costs import (
     CostProfile,
     CpuCosts,
 )
-from repro.sim.engine import EngineConfig
 
 
 @dataclass(frozen=True)
@@ -330,10 +329,6 @@ class TabsConfig:
     #: online reconfiguration (live join/retire, shard migration); the
     #: default (off) keeps membership and placement fixed at construction
     reconfig: ReconfigConfig = field(default_factory=ReconfigConfig)
-    #: event-queue implementation of the simulation engine ("calendar" by
-    #: default, "heap" as the reference fallback); both orders are
-    #: byte-identical, the selector trades constant factors only
-    engine: EngineConfig = field(default_factory=EngineConfig)
     seed: int = 1985
 
     @classmethod

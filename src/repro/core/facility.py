@@ -300,7 +300,6 @@ class TabsNode:
         transactions from the durable log.
         """
         from repro.kernel.messages import Message
-        from repro.kernel.ports import Port
         from repro.recovery.analysis import analyze
         from repro.wal.records import (
             OperationRecord,
@@ -338,13 +337,12 @@ class TabsNode:
 
         # Everything else this server had joined lost its locks: abort.
         for tid in self.tm.transactions_with_server(name):
-            reply_port = Port(self.ctx, node=self.node, name="sr-abort")
-            self.node.service("transaction_manager").send(Message(
-                op="tm.abort",
-                body={"tid": tid,
-                      "reason": f"data server {name!r} failed"},
-                reply_to=reply_port))
-            yield reply_port.receive()
+            yield from self.node.request(
+                self.node.service("transaction_manager"),
+                Message(op="tm.abort",
+                        body={"tid": tid,
+                              "reason": f"data server {name!r} failed"}),
+                "sr-abort")
 
         yield from server.on_recovered()
         return server

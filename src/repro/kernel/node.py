@@ -16,6 +16,7 @@ from typing import Callable, Generator
 from repro.errors import NodeDown
 from repro.kernel.context import SimContext
 from repro.kernel.disk import Disk
+from repro.kernel.messages import Message
 from repro.kernel.ports import Port
 from repro.kernel.vm import VirtualMemory
 from repro.sim import Process
@@ -69,13 +70,29 @@ class Node:
     def release_port(self, port: Port) -> None:
         """Drop a destroyed port from the node's port table.
 
-        Short-lived reply ports (RPC) deallocate themselves this way so the
-        table does not grow with every timed-out call.
+        Short-lived reply ports deallocate themselves this way (see
+        :meth:`Port.release`) so the table does not grow with every
+        request.
         """
         try:
             self._ports.remove(port)
         except ValueError:
             pass
+
+    def request(self, target: Port, message: Message, name: str,
+                charged: bool = True):
+        """Send ``message`` to ``target``; return the reply (generator).
+
+        The reply comes back on a fresh port of this node named ``name``,
+        released as soon as the wait ends, whatever the outcome.
+        """
+        reply_port = Port(self.ctx, node=self, name=name)
+        message.reply_to = reply_port
+        try:
+            target.send(message, charged=charged)
+            return (yield reply_port.receive())
+        finally:
+            reply_port.release()
 
     def register_service(self, name: str, port: Port) -> None:
         """Publish a well-known local service port (TM, RM, CM, NS)."""

@@ -115,6 +115,20 @@ class Port:
         self._queue.clear()
         self._waiters.clear()
 
+    def release(self) -> None:
+        """Destroy the port and drop it from its node's port table.
+
+        Ends the life of a short-lived reply port: a late reply is then
+        discarded, and the table does not grow by one entry per request.
+        A port already dead (released, or destroyed by its node's crash)
+        is left alone, so a port is released at most once.
+        """
+        if self.dead:
+            return
+        self.destroy()
+        if self.node is not None:
+            self.node.release_port(self)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "dead" if not self.alive else f"{len(self._queue)} queued"
         return f"<Port {self.name!r} {state}>"

@@ -25,10 +25,9 @@ class NameServerLibrary:
         self.ctx = node.ctx
 
     def _request(self, op: str, body: dict):
-        reply_port = Port(self.ctx, node=self.node, name=f"ns-reply:{op}")
-        self.node.service(SERVICE).send(
-            Message(op=op, body=body, reply_to=reply_port))
-        response = yield reply_port.receive()
+        response = yield from self.node.request(
+            self.node.service(SERVICE), Message(op=op, body=body),
+            f"ns-reply:{op}")
         return response.body
 
     def register(self, name: str, type_name: str, port: Port,

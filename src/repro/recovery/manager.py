@@ -340,9 +340,8 @@ class RecoveryManager:
         attachment = self._servers.get(server)
         if attachment is None:
             return  # pragma: no cover - server withdrew; nothing to undo
-        reply_port = Port(self.ctx, node=self.node, name="rm-undo-reply")
-        attachment.port.send(Message(op=op, body=body, reply_to=reply_port))
-        response = yield reply_port.receive()
+        response = yield from self.node.request(
+            attachment.port, Message(op=op, body=body), "rm-undo-reply")
         if isinstance(record, ValueUpdateRecord):
             # The undo write bypasses the write-ahead gate, so log the
             # compensation: without it, a checkpoint taken before this
@@ -511,15 +510,13 @@ class RmPagerClient(PagerClient):
         yield  # pragma: no cover
 
     def write_permission(self, segment_id: str, page: int, page_lsn: int):
-        reply_port = Port(self.ctx, node=self.node, name="pager-reply")
-        self._rm_port().send(Message(
-            op="rm.write_permission",
-            body={"segment_id": segment_id, "page": page,
-                  "page_lsn": page_lsn},
-            reply_to=reply_port,
-            free_reply=not self._charged),
-            charged=self._charged)
-        response = yield reply_port.receive()
+        response = yield from self.node.request(
+            self._rm_port(),
+            Message(op="rm.write_permission",
+                    body={"segment_id": segment_id, "page": page,
+                          "page_lsn": page_lsn},
+                    free_reply=not self._charged),
+            "pager-reply", charged=self._charged)
         return response.body["sequence_number"]
 
     def page_written(self, segment_id: str, page: int):
@@ -547,13 +544,12 @@ class RecoveryManagerClient:
         Charged as a large local message when the record's payload is large
         (old/new page values), per the paper's message classification.
         """
-        reply_port = Port(self.ctx, node=self.node, name="spool-reply")
         # Old-value/new-value pairs average ~1100 bytes in the paper's
         # measurements, so spools are always charged as large messages.
-        self._port().send(Message(op="rm.spool", body={"record": record},
-                                  reply_to=reply_port,
-                                  kind=MessageKind.LARGE))
-        response = yield reply_port.receive()
+        response = yield from self.node.request(
+            self._port(), Message(op="rm.spool", body={"record": record},
+                                  kind=MessageKind.LARGE),
+            "spool-reply")
         return response.body["lsn"]
 
     def send_prepare_record(self, tid: TransactionID, server: str,
@@ -588,12 +584,10 @@ class RecoveryManagerClient:
             self._port().send(Message(op="rm.append_status", body=body),
                               charged=self._tm_charged)
             return
-        reply_port = Port(self.ctx, node=node, name="status-reply")
-        self._port().send(Message(op="rm.append_status", body=body,
-                                  reply_to=reply_port,
+        yield from node.request(
+            self._port(), Message(op="rm.append_status", body=body,
                                   free_reply=not self._tm_charged),
-                          charged=self._tm_charged)
-        yield reply_port.receive()
+            "status-reply", charged=self._tm_charged)
 
     def note_txn_done(self, node: Node, tid: TransactionID) -> None:
         del node
@@ -602,34 +596,29 @@ class RecoveryManagerClient:
 
     def merge_chain_via_message(self, node: Node, child: TransactionID,
                                 parent: TransactionID):
-        reply_port = Port(self.ctx, node=node, name="merge-reply")
-        self._port().send(Message(op="rm.merge_chain",
+        yield from node.request(
+            self._port(), Message(op="rm.merge_chain",
                                   body={"child": child, "parent": parent},
-                                  reply_to=reply_port,
                                   free_reply=not self._tm_charged),
-                          charged=self._tm_charged)
-        yield reply_port.receive()
+            "merge-reply", charged=self._tm_charged)
 
     def abort_via_message(self, node: Node, tid: TransactionID):
-        reply_port = Port(self.ctx, node=node, name="abort-reply")
-        self._port().send(Message(op="rm.abort", body={"tid": tid},
-                                  reply_to=reply_port,
+        yield from node.request(
+            self._port(), Message(op="rm.abort", body={"tid": tid},
                                   free_reply=not self._tm_charged),
-                          charged=self._tm_charged)
-        yield reply_port.receive()
+            "abort-reply", charged=self._tm_charged)
 
     def attach(self, server: str, segment_id: str, port: Port):
-        reply_port = Port(self.ctx, node=self.node, name="attach-reply")
-        self._port().send(Message(
-            op="rm.attach", body={"server": server, "segment_id": segment_id,
-                                  "port": port},
-            reply_to=reply_port))
-        yield reply_port.receive()
+        yield from self.node.request(
+            self._port(), Message(op="rm.attach",
+                                  body={"server": server,
+                                        "segment_id": segment_id,
+                                        "port": port}),
+            "attach-reply")
 
     def checkpoint(self, active_transactions: dict | None = None):
-        reply_port = Port(self.ctx, node=self.node, name="ckpt-reply")
-        self._port().send(Message(
-            op="rm.checkpoint",
-            body={"active_transactions": active_transactions or {}},
-            reply_to=reply_port))
-        yield reply_port.receive()
+        yield from self.node.request(
+            self._port(), Message(
+                op="rm.checkpoint",
+                body={"active_transactions": active_transactions or {}}),
+            "ckpt-reply")

@@ -199,8 +199,7 @@ def _call_once(network: Network, client: Node, ref: ServiceRef, op: str,
         # Deallocate whatever the outcome: a dead reply port silently
         # drops any stale late reply, and releasing it keeps the node's
         # port table from growing under repeated timeouts.
-        reply_port.destroy()
-        client.release_port(reply_port)
+        reply_port.release()
     yield Timeout(ctx.engine, total_ms / 2)  # response transport
 
     if "error" in response.body:

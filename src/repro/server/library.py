@@ -38,7 +38,6 @@ from typing import Callable, Hashable
 from repro.errors import ServerError, TransactionAborted
 from repro.kernel.messages import Message
 from repro.kernel.node import Node
-from repro.kernel.ports import Port
 from repro.kernel.vm import ObjectID, RecoverableSegment
 from repro.locking.manager import LockManager
 from repro.locking.modes import (
@@ -214,12 +213,12 @@ class DataServerLibrary:
         local = self._local(tid)
         if local.joined:
             return
-        reply_port = Port(self.ctx, node=self.node, name="join-reply")
-        self.node.service(TM_SERVICE).send(Message(
-            op="tm.join", body={"tid": tid, "server": self.server_id,
-                                "port": self.port},
-            reply_to=reply_port))
-        response = yield reply_port.receive()
+        response = yield from self.node.request(
+            self.node.service(TM_SERVICE),
+            Message(op="tm.join", body={"tid": tid,
+                                        "server": self.server_id,
+                                        "port": self.port}),
+            "join-reply")
         if "error" in response.body:
             raise response.body["error"]
         local.joined = True
@@ -471,10 +470,9 @@ class DataServerLibrary:
         return result
 
     def _tm_request(self, op: str, body: dict, key: str):
-        reply_port = Port(self.ctx, node=self.node, name=f"ds-tm:{op}")
-        self.node.service(TM_SERVICE).send(Message(op=op, body=body,
-                                                   reply_to=reply_port))
-        response = yield reply_port.receive()
+        response = yield from self.node.request(
+            self.node.service(TM_SERVICE), Message(op=op, body=body),
+            f"ds-tm:{op}")
         if "error" in response.body:
             raise response.body["error"]
         return response.body[key]

@@ -319,9 +319,8 @@ class TransactionManager:
 
     def _call_port(self, port: Port, op: str, body: dict):
         """Small-message request/response with a local process."""
-        reply_port = Port(self.ctx, node=self.node, name=f"tm-reply:{op}")
-        port.send(Message(op=op, body=body, reply_to=reply_port))
-        response = yield reply_port.receive()
+        response = yield from self.node.request(
+            port, Message(op=op, body=body), f"tm-reply:{op}")
         if "error" in response.body:
             raise response.body["error"]
         return response.body
@@ -341,10 +340,13 @@ class TransactionManager:
                     f"no port for server {server!r} under {tid}")
             reply_port = Port(self.ctx, node=self.node,
                               name=f"tm-reply:{op}")
-            port.send(Message(op=op, body=body, reply_to=reply_port))
-            deadline = Timeout(self.ctx.engine, retry_ms)
-            which, response = yield AnyOf(self.ctx.engine,
-                                          [reply_port.receive(), deadline])
+            try:
+                port.send(Message(op=op, body=body, reply_to=reply_port))
+                deadline = Timeout(self.ctx.engine, retry_ms)
+                which, response = yield AnyOf(
+                    self.ctx.engine, [reply_port.receive(), deadline])
+            finally:
+                reply_port.release()
             if which == 0:
                 if "error" in response.body:
                     raise response.body["error"]

@@ -1,59 +1,33 @@
-"""Edge-case and differential tests for the pluggable event queues.
+"""Edge-case and differential tests for the engine's event queue.
 
-The engine promises one thing above all: ``heap`` and ``calendar`` pop in
-the exact same ``(time, seq)`` order, so every golden digest is identical
-under either.  These tests attack the promise where the calendar queue's
-structure differs from the heap's -- same-instant FIFO, the overflow
-tier, window jumps over idle gaps, and the cursor-commit rule that
-``run(until=...)`` relies on (a refused peek must not move the window).
+The engine promises one thing above all: callbacks pop in exact
+``(time, seq)`` order.  It keeps that order with a heap plus a FIFO lane
+for entries due at the current instant, so these tests attack the
+promise where the two containers meet -- same-instant FIFO, the
+``run(until=...)`` boundary, a parked clock, delays that float addition
+absorbs -- and check the daemon and deadlock rules.
 """
+
+import heapq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import CalendarQueue, Engine, EngineConfig, Event, HeapQueue
-
-#: both queues, plus a calendar ring so small that ordinary workloads
-#: are forced through the overflow tier and window jumps
-CONFIGS = [
-    pytest.param(EngineConfig.heap(), id="heap"),
-    pytest.param(EngineConfig.calendar(), id="calendar"),
-    pytest.param(EngineConfig.calendar(ring_buckets=2), id="calendar-tiny"),
-]
-
-
-# -- config validation -------------------------------------------------------
-
-
-def test_unknown_queue_rejected():
-    with pytest.raises(ValueError, match="unknown engine queue"):
-        EngineConfig(queue="fibonacci")
-
-
-def test_ring_buckets_must_be_positive():
-    with pytest.raises(ValueError, match="ring_buckets"):
-        EngineConfig.calendar(ring_buckets=0)
-
-
-def test_default_config_is_calendar():
-    assert EngineConfig().queue == "calendar"
-    assert isinstance(Engine()._queue, CalendarQueue)
-    assert isinstance(Engine(EngineConfig.heap())._queue, HeapQueue)
+from repro.sim import Engine, Event
 
 
 # -- ordering ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("config", CONFIGS)
 @settings(max_examples=60, deadline=None)
 @given(delays=st.lists(st.sampled_from([0.0, 1.0, 2.5]),
                        min_size=1, max_size=40))
-def test_same_instant_fifo_property(config, delays):
+def test_same_instant_fifo_property(delays):
     """Entries scheduled for the same instant run in schedule order --
     whatever mix of instants surrounds them."""
-    engine = Engine(config)
+    engine = Engine()
     seen = []
     for index, delay in enumerate(delays):
         engine.schedule(delay, seen.append, args=((delay, index),))
@@ -61,56 +35,91 @@ def test_same_instant_fifo_property(config, delays):
     assert seen == sorted(seen), "pop order broke (time, seq) sorting"
 
 
-@settings(max_examples=60, deadline=None)
-@given(ops=st.lists(
-    st.tuples(st.floats(min_value=0.0, max_value=5_000.0,
-                        allow_nan=False, allow_infinity=False),
-              st.booleans()),
-    min_size=1, max_size=60),
-    ring=st.sampled_from([1, 2, 7, 1024]))
-def test_heap_and_calendar_pop_identically(ops, ring):
-    """Differential: random workloads execute in the same order under
-    both queues, including re-scheduling from inside callbacks."""
-    def execute(config):
-        engine = Engine(config)
+#: delays that exercise both routes: zero and float-absorbed delays go to
+#: the lane, the rest to the heap; ``1e-300`` is absorbed by any clock
+#: above zero, ``1e-9`` only once the clock passes ~1e7
+DELAYS = st.sampled_from([0.0, 1e-300, 1e-9, 0.5, 1.0, 3.0, 1e7])
+#: one follow-up a callback may schedule: ``None`` means ``schedule_now``
+FOLLOW_UP = st.one_of(st.none(), DELAYS)
+#: past every entry the differential can schedule, so both sides run
+#: everything -- daemons included, which a quiescing ``run()`` would skip
+HORIZON = 1e9
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(st.tuples(DELAYS, st.booleans(),
+                              st.lists(FOLLOW_UP, max_size=3)),
+                    min_size=1, max_size=30))
+def test_engine_matches_reference_heap(ops):
+    """Differential: the engine executes any workload -- daemons mixed
+    in -- in the order of a reference ``heapq`` of ``(time, seq)``
+    entries, including ``schedule(0)`` and ``schedule_now`` issued from
+    callbacks."""
+
+    def execute(schedule, schedule_now, now, drain):
         order = []
 
-        def record(tag, delay):
-            order.append((tag, engine.now))
-            # Re-schedule from inside the callback: half the entries
-            # spawn a follow-up, so pops interleave with pushes.
-            if tag % 2 == 0 and len(order) < 3 * len(ops):
-                engine.schedule(delay / 3.0, record, args=(tag + 1000, 0.0))
+        def record(tag, follow_ups):
+            order.append((tag, now()))
+            for index, delay in enumerate(follow_ups):
+                child = (tag, index)
+                if delay is None:
+                    schedule_now(record, (child, ()))
+                else:
+                    schedule(delay, record, (child, ()))
 
-        for tag, (delay, daemon) in enumerate(ops):
-            engine.schedule(delay, record, args=(tag, delay),
-                            daemon=daemon)
-        engine.run()
-        return order, engine.now, engine.events_executed
+        for tag, (delay, daemon, follow_ups) in enumerate(ops):
+            schedule(delay, record, (tag, follow_ups), daemon)
+        drain()
+        return order
 
-    assert execute(EngineConfig.heap()) == \
-        execute(EngineConfig.calendar(ring_buckets=ring))
+    engine = Engine()
+    actual = execute(
+        lambda delay, fn, args, daemon=False: engine.schedule(
+            delay, fn, daemon=daemon, args=args),
+        lambda fn, args: engine.schedule_now(fn, args=args),
+        lambda: engine.now, lambda: engine.run(until=HORIZON))
+
+    reference: list = []
+    clock = [0.0]
+    seq = [0]
+
+    def ref_schedule(delay, fn, args, daemon=False):
+        heapq.heappush(reference, (clock[0] + delay, seq[0], fn, args))
+        seq[0] += 1
+
+    def ref_drain():
+        while reference and reference[0][0] <= HORIZON:
+            clock[0], _seq, fn, args = heapq.heappop(reference)
+            fn(*args)
+
+    expected = execute(ref_schedule,
+                       lambda fn, args: ref_schedule(0.0, fn, args),
+                       lambda: clock[0], ref_drain)
+    assert actual == expected
+    assert engine.events_executed == len(expected)
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_overflow_entries_migrate_back_in_order(config):
-    """Entries far beyond any ring horizon come back in time order."""
-    engine = Engine(config)
+def test_absorbed_delay_runs_at_the_current_instant():
+    """A delay too small to move a large clock is due now: it runs after
+    the entries already due at this instant, and before later ones."""
+    engine = Engine()
     seen = []
-    for delay in [5_000.0, 1.5, 9_999.25, 2_500.0, 0.0, 9_999.75]:
-        engine.schedule(delay, seen.append, args=(delay,))
+    engine.schedule(1e9, lambda: None)
     engine.run()
-    assert seen == [0.0, 1.5, 2_500.0, 5_000.0, 9_999.25, 9_999.75]
-    assert engine.now == 9_999.75
+    engine.schedule(1.0, seen.append, args=("later",))
+    engine.schedule_now(seen.append, args=("now",))
+    engine.schedule(1e-9, seen.append, args=("absorbed",))
+    engine.run()
+    assert seen == ["now", "absorbed", "later"]
 
 
 # -- run(until=...) boundaries ----------------------------------------------
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_event_at_exactly_until_runs(config):
+def test_event_at_exactly_until_runs():
     """``run(until=t)`` is inclusive: an event at exactly ``t`` runs."""
-    engine = Engine(config)
+    engine = Engine()
     seen = []
     engine.schedule(10.0, seen.append, args=("at",))
     engine.schedule(10.0 + 1e-9, seen.append, args=("after",))
@@ -121,31 +130,24 @@ def test_event_at_exactly_until_runs(config):
     assert seen == ["at", "after"]
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_refused_peek_does_not_move_the_window(config):
-    """The cursor-commit rule: parking the clock before a far-future
-    entry, then scheduling *below* it, must pop the near entry first.
-
-    This is the regression test for a speculative-cursor bug: if the
-    queue committed its window to the refused front during
-    ``run(until=...)``, the later near-time push would land behind the
-    window and pop out of order (or never).
-    """
-    engine = Engine(config)
+def test_parked_clock_then_schedule_below_the_front():
+    """Parking the clock before a far-future entry, then scheduling
+    *below* it, must pop the near entry first."""
+    engine = Engine()
     seen = []
     engine.schedule(5_000.0, seen.append, args=("far",))
-    engine.run(until=100.0)  # refuses the far entry, parks at 100
+    engine.run(until=100.0)  # leaves the far entry queued, parks at 100
     assert seen == []
     engine.schedule(1.0, seen.append, args=("near",))  # below the front
+    engine.schedule_now(seen.append, args=("now",))
     engine.run()
-    assert seen == ["near", "far"]
+    assert seen == ["now", "near", "far"]
     assert engine.now == 5_000.0
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_run_until_repeatedly_across_idle_gaps(config):
+def test_run_until_repeatedly_across_idle_gaps():
     """Successive bounded runs across empty stretches stay exact."""
-    engine = Engine(config)
+    engine = Engine()
     seen = []
     for delay in [50.0, 2_048.0, 7_000.5]:
         engine.schedule(delay, seen.append, args=(delay,))
@@ -158,26 +160,29 @@ def test_run_until_repeatedly_across_idle_gaps(config):
 # -- daemon semantics --------------------------------------------------------
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_drain_leaves_daemon_only_remainder(config):
+def test_drain_leaves_daemon_only_remainder():
     """``drain`` reports quiescence while daemon ticks are still queued."""
-    engine = Engine(config)
+    engine = Engine()
+    ticks = []
 
     def tick():
+        ticks.append(engine.now)
         engine.schedule(500.0, tick, daemon=True)
 
     engine.schedule(500.0, tick, daemon=True)
     engine.schedule(1_200.0, lambda: None)
     assert engine.drain(10_000.0) is True
+    assert engine.now == 1_200.0
     assert engine.pending_count() == 0  # daemons excluded
-    assert len(engine._queue) == 1  # the next tick still queued
+    assert ticks == [500.0, 1_000.0]
+    engine.run(until=1_500.0)  # the next tick is still queued
+    assert ticks == [500.0, 1_000.0, 1_500.0]
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_run_until_daemon_only_queue_raises_deadlock(config):
+def test_run_until_daemon_only_queue_raises_deadlock():
     """A waited-on event that can never trigger (only daemon housekeeping
     left) must raise a simulated-deadlock error, not spin forever."""
-    engine = Engine(config)
+    engine = Engine()
 
     def tick():
         engine.schedule(5.0, tick, daemon=True)
@@ -193,26 +198,3 @@ def test_run_until_empty_queue_raises_deadlock():
     event = Event(engine, "never")
     with pytest.raises(SimulationError, match="drained"):
         engine.run_until(event)
-
-
-# -- counters stay queue-independent ----------------------------------------
-
-
-def test_counters_identical_across_queues():
-    def churn(config):
-        engine = Engine(config)
-
-        def fanout(depth):
-            if depth:
-                for _ in range(3):
-                    engine.schedule(float(depth), fanout, args=(depth - 1,))
-
-        engine.schedule(0.0, fanout, args=(4,))
-        engine.schedule(10_000.0, lambda: None, daemon=True)
-        engine.run()
-        return (engine.events_scheduled, engine.events_executed,
-                engine.daemon_scheduled, engine.daemon_executed,
-                engine.heap_high_water, engine.now)
-
-    assert churn(EngineConfig.heap()) == churn(EngineConfig.calendar()) \
-        == churn(EngineConfig.calendar(ring_buckets=3))

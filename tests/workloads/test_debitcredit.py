@@ -6,7 +6,7 @@ from repro.core.cluster import TabsCluster
 from repro.core.config import TabsConfig, WorkloadConfig
 from repro.core.facility import SEGMENT_VA_STRIDE
 from repro.kernel.costs import ZERO_COST, ZERO_CPU
-from repro.workloads import DebitCreditTopology, draw_spec
+from repro.workloads import DebitCreditTopology, DebitCreditWorkload, draw_spec
 from repro.workloads.debitcredit import pages_for
 
 
@@ -208,3 +208,20 @@ class TestBuild:
         for branch in range(4):
             assert {f"branch{branch}", f"tellers{branch}",
                     f"accounts{branch}", f"history{branch}"} <= names
+
+
+def test_reply_ports_released_after_committed_transaction():
+    """Every request/response releases its reply port: once a committed
+    DebitCredit transaction drains, each node's port table is back to
+    its starting size."""
+    cluster, topology = build(WorkloadConfig(branches=2,
+                                             accounts_per_branch=50))
+    driver = DebitCreditWorkload(cluster, topology, seed=7)
+    before = {name: len(tabs_node.node._ports)
+              for name, tabs_node in cluster.nodes.items()}
+    driver.schedule_traffic(txns=1)
+    driver.run(until_ms=1_000_000.0)
+    driver.drain()
+    assert driver.stats.outcomes() == {"committed": 1}
+    assert {name: len(tabs_node.node._ports)
+            for name, tabs_node in cluster.nodes.items()} == before
