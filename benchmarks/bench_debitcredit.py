@@ -25,7 +25,8 @@ if __package__ in (None, ""):  # running as a script, not under pytest
 
 import pytest
 
-from benchmarks.conftest import REPO_ROOT, baseline_main, write_result
+from benchmarks.conftest import (REPO_ROOT, baseline_main, workload_fields,
+                                 write_result)
 from repro.core.config import WorkloadConfig
 from repro.perf.debitcredit import compare_debitcredit_pipelines
 
@@ -129,14 +130,7 @@ def payload_from(results: dict, duration_ms: float) -> dict:
     paper_16 = results["paper"][2]
     grouped_16 = results["grouped"][2]
     return {
-        "workload": {
-            "schema": BENCH_WORKLOAD.schema,
-            "branches": BENCH_WORKLOAD.branches,
-            "branches_per_node": BENCH_WORKLOAD.branches_per_node,
-            "tellers_per_branch": BENCH_WORKLOAD.tellers_per_branch,
-            "accounts_per_branch": BENCH_WORKLOAD.accounts_per_branch,
-            "locality": BENCH_WORKLOAD.locality,
-        },
+        "workload": workload_fields(BENCH_WORKLOAD),
         "duration_ms": duration_ms,
         "client_counts": list(CLIENT_COUNTS),
         "pipelines": {name: [row(r) for r in rows]
@@ -193,11 +187,9 @@ def main(argv: list[str] | None = None) -> int:
     return baseline_main(
         argv,
         description="Regenerate the DebitCredit TPS baseline.",
-        baseline_path=BASELINE_PATH,
-        payload_fn=baseline_payload,
+        baselines={BASELINE_PATH: (baseline_payload, smoke_check)},
         full_duration_ms=FULL_DURATION_MS,
-        smoke_duration_ms=SMOKE_DURATION_MS,
-        smoke_check=smoke_check)
+        smoke_duration_ms=SMOKE_DURATION_MS)
 
 
 if __name__ == "__main__":

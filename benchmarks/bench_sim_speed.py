@@ -5,7 +5,8 @@ simulator.  Three representative workloads -- disjoint multi-client
 throughput (pure event-loop churn), DebitCredit under the hot row (lock
 waits + 2PC + group-commit machinery), and DebitCredit over rf=2
 available-copies replication (write fan-out, the heaviest fabric) -- run
-for a fixed simulated window while the harness records:
+through the scenario registry (:mod:`repro.perf.scenarios`) for a fixed
+simulated window while the harness records:
 
 - **deterministic shape**: events scheduled/executed, daemon share, heap
   high-water, committed transactions, events per commit, and events per
@@ -38,21 +39,21 @@ if __package__ in (None, ""):  # running as a script, not under pytest
 import pytest
 
 from benchmarks.conftest import REPO_ROOT, baseline_main, write_result
-from repro.core.cluster import TabsCluster
-from repro.core.config import ReplicationConfig, TabsConfig, WorkloadConfig
-from repro.perf.debitcredit import run_debitcredit
-from repro.perf.throughput import run_throughput
-from repro.workloads import DebitCreditWorkload
+from repro.core.config import WorkloadConfig
+from repro.perf.runner import Cell, result_row, run_cell
 
 SEED = 1985
-#: hot-row DebitCredit: eight branches co-hosted on one bank node
-DEBITCREDIT_WORKLOAD = WorkloadConfig(branches=8, branches_per_node=8,
-                                      accounts_per_branch=1_000)
-#: rf=2 over two nodes, 70% remote accounts: heaviest message fabric
-REPLICATED_WORKLOAD = WorkloadConfig(branches=2, accounts_per_branch=200,
-                                     tellers_per_branch=4, locality=0.3)
-REPLICATION = ReplicationConfig.available_copies()
-REPLICATED_SPACING_MS = 300.0
+#: bench scenario -> (registry scenario, parameters beyond the window)
+SPEED_SCENARIOS = {
+    # eight clients, disjoint cells: event-loop churn, no contention
+    "disjoint": ("throughput", {"concurrency": 8, "workload": "disjoint"}),
+    # eight DebitCredit clients against eight co-hosted hot branches
+    "debitcredit_hot_row": ("debitcredit", {
+        "clients": 8, "workload": WorkloadConfig(
+            branches=8, branches_per_node=8, accounts_per_branch=1_000)}),
+    # rf=2 available copies, fault-free: the heaviest message fabric
+    "replicated_rf2": ("replicated", {}),
+}
 FULL_DURATION_MS = 10_000.0
 SMOKE_DURATION_MS = 4_000.0
 #: smoke events-per-commit may drift this much from the committed
@@ -70,59 +71,14 @@ MIN_EVENTS_PER_WALL_SEC = 25_000.0
 BASELINE_PATH = REPO_ROOT / "BENCH_sim_speed.json"
 
 
-def _capture(captured):
-    def instrument(cluster):
-        captured.append(cluster)
-    return instrument
-
-
-def run_disjoint(duration_ms: float):
-    """Eight clients, disjoint cells: event-loop churn, no contention."""
-    captured: list[TabsCluster] = []
-    result = run_throughput(8, "disjoint", duration_ms,
-                            config=TabsConfig(seed=SEED),
-                            instrument=_capture(captured))
-    return captured[0], result.committed
-
-
-def run_hot_row(duration_ms: float):
-    """Eight DebitCredit clients against eight co-hosted hot branches."""
-    captured: list[TabsCluster] = []
-    result = run_debitcredit(8, duration_ms,
-                             config=TabsConfig(seed=SEED),
-                             workload=DEBITCREDIT_WORKLOAD,
-                             instrument=_capture(captured))
-    return captured[0], result.committed
-
-
-def run_replicated(duration_ms: float):
-    """DebitCredit over rf=2 available-copies replication, fault-free."""
-    config = TabsConfig(seed=SEED, workload=REPLICATED_WORKLOAD,
-                        replication=REPLICATION)
-    cluster = TabsCluster(config)
-    topology = cluster.build_workload()
-    driver = DebitCreditWorkload(cluster, topology, seed=SEED)
-    offered = int(duration_ms / REPLICATED_SPACING_MS)
-    driver.schedule_traffic(txns=offered,
-                            spacing_ms=REPLICATED_SPACING_MS)
-    driver.run(duration_ms)
-    driver.drain()
-    return cluster, driver.stats.outcomes().get("committed", 0)
-
-
-SCENARIOS = {
-    "disjoint": run_disjoint,
-    "debitcredit_hot_row": run_hot_row,
-    "replicated_rf2": run_replicated,
-}
-
-
-def measure(runner, duration_ms: float) -> tuple[dict, dict]:
+def measure(cell: Cell) -> tuple[dict, dict]:
     """Run one scenario; split the reading into (deterministic, wall)."""
+    captured = []
     start = time.perf_counter()
-    cluster, committed = runner(duration_ms)
+    result = run_cell(cell, instrument=captured.append)
     wall_s = time.perf_counter() - start
-    engine = cluster.engine
+    committed = result_row(cell, result)["committed"]
+    engine = captured[0].engine
     sim_s = engine.now / 1000.0
     events = engine.events_executed
     deterministic = {
@@ -149,8 +105,9 @@ def measure(runner, duration_ms: float) -> tuple[dict, dict]:
 def run_all(duration_ms: float) -> dict:
     scenarios = {}
     wall = {}
-    for name, runner in SCENARIOS.items():
-        scenarios[name], wall[name] = measure(runner, duration_ms)
+    for name, (kind, params) in SPEED_SCENARIOS.items():
+        scenarios[name], wall[name] = measure(
+            Cell.of(kind, seed=SEED, duration_ms=duration_ms, **params))
     return {"duration_ms": duration_ms, "seed": SEED,
             "scenarios": scenarios, "wall": wall}
 
@@ -251,11 +208,9 @@ def main(argv: list[str] | None = None) -> int:
     return baseline_main(
         argv,
         description="Regenerate the simulator raw-speed baseline.",
-        baseline_path=BASELINE_PATH,
-        payload_fn=run_all,
+        baselines={BASELINE_PATH: (run_all, smoke_check)},
         full_duration_ms=FULL_DURATION_MS,
         smoke_duration_ms=SMOKE_DURATION_MS,
-        smoke_check=smoke_check,
         json_filter=deterministic_payload)
 
 

@@ -183,12 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     return baseline_main(
         argv,
         description="Regenerate the commit-pipeline throughput baseline.",
-        baseline_path=BASELINE_PATH,
-        payload_fn=lambda duration_ms:
-            baseline_payload(duration_ms=duration_ms),
+        baselines={BASELINE_PATH: (baseline_payload, smoke_check)},
         full_duration_ms=10_000.0,
-        smoke_duration_ms=2_000.0,
-        smoke_check=smoke_check)
+        smoke_duration_ms=2_000.0)
 
 
 if __name__ == "__main__":

@@ -6,14 +6,21 @@ Commands:
 - ``primitives`` -- measure and print Table 5-1 against the paper
 - ``benchmark [keys...]`` -- run Table 5-4 rows (default: a quick subset)
 - ``paths`` -- print the longest-path commit analysis (Table 5-3 method)
-- ``trace <target>`` -- run a benchmark or the canned chaos scenario with
-  the flight recorder on; emit Chrome trace-event JSON (load it at
-  https://ui.perfetto.dev) and optionally compact JSONL
-- ``metrics <target>`` -- run a target and print its per-node counters,
-  gauges, and latency histograms
-- ``profile <target>`` -- run a target under the wall-clock self-profiler;
-  print the hot-handler table, fabric churn, and the events/sec meter, and
-  optionally write a collapsed-stack flamegraph and a pstats dump
+- ``trace <scenario>`` -- run a scenario with the flight recorder on;
+  emit Chrome trace-event JSON (load it at https://ui.perfetto.dev) and
+  optionally compact JSONL
+- ``metrics <scenario>`` -- run a scenario and print its per-node
+  counters, gauges, and latency histograms
+- ``profile <scenario>`` -- run a scenario under the wall-clock
+  self-profiler; print the hot-handler table, fabric churn, and the
+  events/sec meter, and optionally write a collapsed-stack flamegraph and
+  a pstats dump
+- ``sweep <scenario>`` -- fan ``(counts, seeds)`` cells of a scenario
+  across worker processes and print the rows as JSON
+
+A scenario is any name in :data:`repro.perf.scenarios.SCENARIOS`: a paper
+benchmark key, ``chaos``, ``chaos_soak``, ``throughput``,
+``debitcredit``, ``replicated``, ``availability`` or ``reconfig``.
 
 The heavier artifacts (all fourteen benchmarks under three configurations,
 ablations, throughput) live in ``pytest benchmarks/``.
@@ -26,7 +33,6 @@ import sys
 
 from repro import TabsCluster, TabsConfig
 from repro.kernel.costs import MEASURED_1985
-from repro.perf.benchmarks import BENCHMARKS_BY_KEY, run_benchmark
 from repro.perf.model import PAPER_TABLE_5_3
 from repro.perf.pathmodel import TABLE_5_3_PATHS
 from repro.perf.primitives import measure_primitives
@@ -36,10 +42,15 @@ from repro.perf.report import (
     render_table_5_1,
     render_table_5_4,
 )
+from repro.perf.runner import (
+    Cell,
+    run_cell,
+    run_cells,
+    sweep_cells,
+    sweep_payload,
+)
+from repro.perf.scenarios import SCENARIOS
 from repro.servers.int_array import IntegerArrayServer
-
-#: the extra trace/metrics target beyond the benchmark keys
-CHAOS_TARGET = "chaos"
 
 
 def write_report(text: str, stream=None) -> None:
@@ -92,52 +103,20 @@ def cmd_paths(_args) -> int:
     return 0
 
 
-# -- observability targets ---------------------------------------------------
+# -- scenario targets -----------------------------------------------------------
 
-def _run_chaos_target(seed: int, traced: bool,
+def _knobs(target: str, **values) -> dict:
+    """The CLI values that name a parameter of scenario ``target``."""
+    defaults = SCENARIOS[target].defaults
+    return {name: value for name, value in values.items()
+            if name in defaults}
+
+
+def _instrumented_run(args, traced: bool = False,
                       profiled: bool = False) -> TabsCluster:
-    """The canned chaos scenario: crash + partition + link-fault torture.
-
-    Mirrors the determinism suite's plan so a trace of it shows failure
-    detection, aborts, session breaks, and crash-recovery replay -- the
-    events the flight recorder exists for.
-    """
-    from repro.chaos import (
-        ChaosController,
-        ChaosWorkload,
-        CrashAt,
-        FaultPlan,
-        LinkFaultWindow,
-        PartitionAt,
-    )
-    from repro.chaos.workload import build_cluster
-
-    plan = FaultPlan.of(
-        CrashAt(350.0, "n1", restart_after_ms=450.0),
-        PartitionAt(1_000.0, (("n0",), ("n1", "n2")), heal_after_ms=500.0),
-        LinkFaultWindow(1_800.0, 2_600.0, "n0", "n2", loss=0.3,
-                        duplicate=0.2, reorder=0.2))
-    cluster = build_cluster(seed=seed)
-    if traced:
-        cluster.enable_tracing()
-    if profiled:
-        cluster.enable_profiling()
-    controller = ChaosController(cluster, plan, seed=seed)
-    workload = ChaosWorkload(cluster, controller, seed=seed)
-    workload.setup()
-    controller.install()
-    workload.schedule_traffic(transfers=10)
-    workload.run(4_000.0)
-    workload.finale()
-    return cluster
-
-
-def _run_target(target: str, seed: int, iterations: int,
-                traced: bool, profiled: bool = False) -> TabsCluster:
-    """Run ``target`` (a benchmark key or ``chaos``); return its cluster."""
-    if target == CHAOS_TARGET:
-        return _run_chaos_target(seed, traced, profiled)
-    spec = BENCHMARKS_BY_KEY[target]
+    """Run scenario ``args.target``; return its cluster, captured through
+    the scenario's ``instrument`` hook with tracing/profiling switched on
+    before any traffic."""
     captured: list[TabsCluster] = []
 
     def instrument(cluster: TabsCluster) -> None:
@@ -147,16 +126,16 @@ def _run_target(target: str, seed: int, iterations: int,
         if profiled:
             cluster.enable_profiling()
 
-    run_benchmark(spec, TabsConfig(seed=seed), iterations=iterations,
-                  instrument=instrument)
+    knobs = _knobs(args.target, iterations=args.iterations)
+    run_cell(Cell.of(args.target, seed=args.seed, **knobs),
+             instrument=instrument)
     return captured[0]
 
 
 def cmd_trace(args) -> int:
     from repro.obs import chrome_trace_json, jsonl_events
 
-    cluster = _run_target(args.target, args.seed, args.iterations,
-                          traced=True)
+    cluster = _instrumented_run(args, traced=True)
     tracer = cluster.ctx.tracer
     payload = chrome_trace_json(tracer)
     summary = (f"{len(tracer.spans)} spans, {len(tracer.events)} events, "
@@ -179,8 +158,7 @@ def cmd_trace(args) -> int:
 def cmd_metrics(args) -> int:
     from repro.obs import metrics_json
 
-    cluster = _run_target(args.target, args.seed, args.iterations,
-                          traced=False)
+    cluster = _instrumented_run(args)
     if args.json:
         with open(args.json, "w") as handle:
             handle.write(metrics_json(cluster.metrics))
@@ -193,8 +171,7 @@ def cmd_metrics(args) -> int:
 def cmd_profile(args) -> int:
     from repro.obs import collapsed_stacks, render_profile, write_pstats
 
-    cluster = _run_target(args.target, args.seed, args.iterations,
-                          traced=False, profiled=True)
+    cluster = _instrumented_run(args, profiled=True)
     profiler = cluster.ctx.profiler
     write_report(render_profile(profiler, top=args.top))
     if args.flame:
@@ -213,27 +190,11 @@ def cmd_profile(args) -> int:
 def cmd_sweep(args) -> int:
     import json
 
-    from repro.perf.runner import (
-        chaos_soak_cells,
-        debitcredit_sweep_cells,
-        run_cells,
-        sweep_payload,
-        throughput_sweep_cells,
-    )
-
     counts = [int(part) for part in args.counts.split(",") if part]
     seeds = [int(part) for part in args.seeds.split(",") if part]
-    if args.sweep == "throughput":
-        cells = [cell for seed in seeds
-                 for cell in throughput_sweep_cells(
-                     counts, workload=args.workload,
-                     duration_ms=args.duration_ms, seed=seed)]
-    elif args.sweep == "debitcredit":
-        cells = [cell for seed in seeds
-                 for cell in debitcredit_sweep_cells(
-                     counts, duration_ms=args.duration_ms, seed=seed)]
-    else:
-        cells = chaos_soak_cells(seeds)
+    cells = sweep_cells(args.sweep, counts, seeds,
+                        **_knobs(args.sweep, duration_ms=args.duration_ms,
+                                 workload=args.workload))
     results = run_cells(cells, workers=args.workers)
     payload = sweep_payload(cells, results, workers=args.workers)
     text = json.dumps(payload, indent=1, sort_keys=True)
@@ -248,12 +209,14 @@ def cmd_sweep(args) -> int:
 
 def _add_target_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "target",
-        choices=sorted(BENCHMARKS_BY_KEY) + [CHAOS_TARGET],
-        help="benchmark key (e.g. w1w1) or 'chaos' (canned fault scenario)")
+        "target", choices=sorted(SCENARIOS),
+        help="scenario: a paper benchmark key (e.g. w1w1), chaos, "
+             "chaos_soak, throughput, debitcredit, replicated, "
+             "availability or reconfig")
     parser.add_argument("--seed", type=int, default=1985)
     parser.add_argument("--iterations", type=int, default=3,
-                        help="benchmark iterations (ignored for chaos)")
+                        help="paper benchmark iterations (the other "
+                             "scenarios ignore it)")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -296,18 +259,18 @@ def main(argv: list[str] | None = None) -> int:
     sweep = sub.add_parser(
         "sweep", help="fan a (config, seed) experiment sweep across "
                       "worker processes (deterministic aggregation)")
-    sweep.add_argument("sweep",
-                       choices=["throughput", "debitcredit", "chaos"],
-                       help="which experiment family to sweep")
+    sweep.add_argument("sweep", choices=sorted(SCENARIOS),
+                       help="which scenario to sweep")
     sweep.add_argument("--counts", default="1,2,4,8",
-                       help="comma-separated client/concurrency counts")
+                       help="comma-separated throughput concurrencies or "
+                            "debitcredit client counts (other scenarios: "
+                            "one cell per seed)")
     sweep.add_argument("--seeds", default="1985",
-                       help="comma-separated seeds (chaos: one cell per "
-                            "seed)")
+                       help="comma-separated seeds")
     sweep.add_argument("--duration-ms", type=float, default=10_000.0)
     sweep.add_argument("--workload", default="disjoint",
                        choices=["disjoint", "shared"],
-                       help="throughput sweep workload")
+                       help="throughput workload")
     sweep.add_argument("--workers", type=int, default=1,
                        help="worker processes (results are identical "
                             "for any value)")

@@ -15,8 +15,10 @@ time.  This package regenerates all five tables:
 - :mod:`repro.perf.projections` -- the Improved-Architecture and
   New-Primitive-Times projections of Table 5-4,
 - :mod:`repro.perf.report` -- text tables for the benchmark harness,
-- :mod:`repro.perf.runner` -- the parallel ``(config, seed)`` experiment
-  runner behind the sweeps and the ``sweep`` CLI subcommand.
+- :mod:`repro.perf.scenarios` -- the one scenario registry every CLI
+  target, sweep cell and bench run is drawn from,
+- :mod:`repro.perf.runner` -- the parallel ``(scenario, params, seed)``
+  experiment runner behind the sweeps and the ``sweep`` CLI subcommand.
 """
 
 from repro.perf.benchmarks import (

@@ -27,6 +27,7 @@ from typing import Callable
 
 from repro.core.cluster import TabsCluster
 from repro.core.config import CommitConfig, TabsConfig, WorkloadConfig
+from repro.errors import TabsError
 from repro.obs.metrics import Histogram
 from repro.perf.throughput import PIPELINE_CONFIGS
 from repro.sim import Timeout
@@ -109,7 +110,7 @@ def run_debitcredit(clients: int, duration_ms: float = 30_000.0,
             tid = yield from app.begin_transaction()
             try:
                 yield from debitcredit_txn(app, topology, spec, tid)
-            except Exception:
+            except TabsError:
                 yield from app.abort_transaction(tid)
                 aborted[0] += 1
                 continue
@@ -146,22 +147,6 @@ def run_debitcredit(clients: int, duration_ms: float = 30_000.0,
                              latency=latency)
 
 
-def debitcredit_sweep(client_counts: list[int],
-                      duration_ms: float = 30_000.0,
-                      config: TabsConfig | None = None,
-                      workers: int = 1) -> list[DebitCreditResult]:
-    """One result per client count, fanned over ``workers`` processes.
-
-    Delegates to :mod:`repro.perf.runner`; results come back in client-
-    count order whatever the worker count.
-    """
-    from repro.perf.runner import debitcredit_sweep_cells, run_cells
-
-    return run_cells(debitcredit_sweep_cells(client_counts, duration_ms,
-                                             config=config),
-                     workers=workers)
-
-
 def compare_debitcredit_pipelines(client_counts: list[int],
                                   duration_ms: float = 15_000.0,
                                   workload: WorkloadConfig | None = None,
@@ -175,12 +160,12 @@ def compare_debitcredit_pipelines(client_counts: list[int],
     fan-out across ``workers`` processes; the per-pipeline split is
     recovered from cell order, so the dict is identical for any count.
     """
-    from repro.perf.runner import debitcredit_sweep_cells, run_cells
+    from repro.perf.runner import run_cells, sweep_cells
 
     names = list(PIPELINE_CONFIGS)
     cells = [cell for name in names
-             for cell in debitcredit_sweep_cells(
-                 client_counts, duration_ms,
+             for cell in sweep_cells(
+                 "debitcredit", client_counts, duration_ms=duration_ms,
                  commit=PIPELINE_CONFIGS[name], workload=workload)]
     results = run_cells(cells, workers=workers)
     step = len(client_counts)

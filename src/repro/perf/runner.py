@@ -21,25 +21,26 @@ method when the platform offers it (cheap, inherits the imported tree)
 and fall back to ``spawn`` elsewhere -- cells and their parameters must
 therefore be module-level and picklable.
 
-The high-level sweeps (:func:`throughput_sweep_cells`,
-:func:`debitcredit_sweep_cells`, :func:`chaos_soak_cells`) mirror the
-sequential sweeps in :mod:`repro.perf.throughput`,
-:mod:`repro.perf.debitcredit`, and the chaos soak suite; the ``sweep``
-CLI subcommand (``python -m repro sweep``) drives them.
+A cell's ``kind`` names a scenario of :mod:`repro.perf.scenarios`, and
+:func:`sweep_cells` builds a sweep over any of them; the pipeline
+comparisons in :mod:`repro.perf.throughput` and
+:mod:`repro.perf.debitcredit` and the ``sweep`` CLI subcommand
+(``python -m repro sweep``) ride on it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.errors import TabsError
+from repro.perf.scenarios import SCENARIOS, Instrument, Scenario
 
 
 @dataclass(frozen=True)
 class Cell:
-    """One experiment: an independent ``(kind, params, seed)`` simulation.
+    """One experiment: an independent ``(kind, params, seed)`` simulation
+    of the scenario named ``kind``.
 
     ``params`` is a tuple of ``(name, value)`` pairs (not a dict) so cells
     are hashable and their pickled form is canonical.
@@ -59,87 +60,23 @@ class Cell:
                    params=tuple(sorted(params.items())), seed=seed)
 
 
-# -- cell kinds -------------------------------------------------------------------
-#
-# Each kind maps to a module-level function (picklable under spawn) taking
-# (params: dict, seed: int) and returning a picklable result.  Imports are
-# local so that importing the runner does not drag the whole perf stack
-# into processes that never run a cell.
+def run_cell(cell: Cell, instrument: Instrument = None):
+    """Run one cell in this process and return its result.
 
-
-def _cell_throughput(params: dict, seed: int):
-    from repro.core.config import TabsConfig
-    from repro.perf.throughput import run_throughput
-
-    return run_throughput(params["concurrency"],
-                          workload=params.get("workload", "disjoint"),
-                          duration_ms=params.get("duration_ms", 60_000.0),
-                          config=TabsConfig(seed=seed),
-                          commit=params.get("commit"))
-
-
-def _cell_debitcredit(params: dict, seed: int):
-    from repro.core.config import TabsConfig
-    from repro.perf.debitcredit import run_debitcredit
-
-    config = params.get("config")
-    if config is None:
-        config = TabsConfig(seed=seed)
-    return run_debitcredit(params["clients"],
-                           duration_ms=params.get("duration_ms", 30_000.0),
-                           config=config,
-                           commit=params.get("commit"),
-                           workload=params.get("workload"))
-
-
-def _cell_chaos_soak(params: dict, seed: int) -> dict:
-    """One chaos soak: random fault plan, seeded traffic, full audit.
-
-    Returns a summary dict (the live cluster is not picklable): the
-    deterministic fields a soak fleet aggregates over.
+    ``instrument`` (if given) receives the cluster before the traffic
+    starts, as in :mod:`repro.perf.scenarios`.
     """
-    from repro.chaos import ChaosController, ChaosWorkload, random_plan
-    from repro.chaos.workload import build_cluster
-
-    node_count = params.get("node_count", 3)
-    nodes = [f"n{i}" for i in range(node_count)]
-    plan = random_plan(seed=seed, nodes=nodes,
-                       duration_ms=params.get("plan_ms", 8_000.0),
-                       episodes=params.get("episodes", 5))
-    cluster = build_cluster(node_count, seed=seed)
-    controller = ChaosController(cluster, plan, seed=seed)
-    workload = ChaosWorkload(cluster, controller, seed=seed)
-    workload.setup()
-    controller.install()
-    workload.schedule_traffic(transfers=params.get("transfers", 24))
-    workload.run(params.get("run_ms", 10_000.0))
-    quiet = workload.finale()
-    report = workload.check_invariants(quiet=quiet)
-    return {
-        "seed": seed,
-        "quiet": quiet,
-        "ok": report.ok,
-        "violations": sorted(str(v) for v in report.violations),
-        "trace_events": len(controller.trace),
-        "events_executed": cluster.engine.events_executed,
-    }
+    scenario = _scenario(cell.kind)
+    return scenario.run({**scenario.defaults, **cell.param_dict()},
+                        cell.seed, instrument)
 
 
-CELL_KINDS: dict[str, Callable[[dict, int], object]] = {
-    "throughput": _cell_throughput,
-    "debitcredit": _cell_debitcredit,
-    "chaos_soak": _cell_chaos_soak,
-}
-
-
-def run_cell(cell: Cell):
-    """Run one cell in this process and return its result."""
+def _scenario(kind: str) -> Scenario:
     try:
-        runner = CELL_KINDS[cell.kind]
+        return SCENARIOS[kind]
     except KeyError:
-        raise TabsError(f"unknown cell kind {cell.kind!r}; known: "
-                        f"{sorted(CELL_KINDS)}") from None
-    return runner(cell.param_dict(), cell.seed)
+        raise TabsError(f"unknown cell kind {kind!r}; known: "
+                        f"{sorted(SCENARIOS)}") from None
 
 
 def _run_indexed(indexed: tuple) -> tuple:
@@ -182,45 +119,18 @@ def run_cells(cells: list[Cell], workers: int = 1) -> list:
     return results
 
 
-# -- sweep builders ---------------------------------------------------------------
+# -- sweep builder ----------------------------------------------------------------
 
 
-def throughput_sweep_cells(concurrencies: list[int],
-                           workload: str = "disjoint",
-                           duration_ms: float = 60_000.0,
-                           seed: int = 1985,
-                           commit=None) -> list[Cell]:
-    extra = {"commit": commit} if commit is not None else {}
-    return [Cell.of("throughput", seed=seed, concurrency=concurrency,
-                    workload=workload, duration_ms=duration_ms, **extra)
-            for concurrency in concurrencies]
-
-
-def debitcredit_sweep_cells(client_counts: list[int],
-                            duration_ms: float = 30_000.0,
-                            seed: int = 1985,
-                            commit=None, workload=None,
-                            config=None) -> list[Cell]:
-    extra = {}
-    if commit is not None:
-        extra["commit"] = commit
-    if workload is not None:
-        extra["workload"] = workload
-    if config is not None:
-        extra["config"] = config
-    return [Cell.of("debitcredit", seed=seed, clients=clients,
-                    duration_ms=duration_ms, **extra)
-            for clients in client_counts]
-
-
-def chaos_soak_cells(seeds: list[int], node_count: int = 3,
-                     transfers: int = 24, episodes: int = 5,
-                     plan_ms: float = 8_000.0,
-                     run_ms: float = 10_000.0) -> list[Cell]:
-    return [Cell.of("chaos_soak", seed=seed, node_count=node_count,
-                    transfers=transfers, episodes=episodes,
-                    plan_ms=plan_ms, run_ms=run_ms)
-            for seed in seeds]
+def sweep_cells(kind: str, counts=(), seeds=(1985,), **params) -> list[Cell]:
+    """Seed-major cells of scenario ``kind``: its defaults overridden by
+    ``params``, one cell per count when the scenario has a count
+    parameter (``throughput``: concurrency, ``debitcredit``: clients)
+    and one per seed otherwise."""
+    scenario = _scenario(kind)
+    fan = [{scenario.count: n} for n in counts] if scenario.count else [{}]
+    return [Cell.of(kind, seed=seed, **{**scenario.defaults, **params, **one})
+            for seed in seeds for one in fan]
 
 
 # -- JSON-able aggregation --------------------------------------------------------
@@ -237,9 +147,10 @@ def result_row(cell: Cell, result) -> dict:
     if isinstance(result, dict):
         row.update(result)
         return row
-    # perf result dataclasses (ThroughputResult / DebitCreditResult)
+    # perf result dataclasses (Throughput-, DebitCredit-, BenchmarkResult)
     for name in ("concurrency", "clients", "workload", "committed",
-                 "aborted", "remote_committed", "forces", "pipeline"):
+                 "aborted", "remote_committed", "forces", "pipeline",
+                 "elapsed_ms"):
         value = getattr(result, name, None)
         if value is not None:
             row[name] = value

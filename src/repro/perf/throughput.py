@@ -32,6 +32,7 @@ from typing import Callable
 
 from repro.core.cluster import TabsCluster
 from repro.core.config import CommitConfig, TabsConfig
+from repro.errors import TabsError
 from repro.servers.int_array import IntegerArrayServer
 from repro.sim import Timeout
 
@@ -101,7 +102,7 @@ def run_throughput(concurrency: int, workload: str = "disjoint",
                 yield from app.call(ref, "set_cell",
                                     {"cell": cell, "value": iteration},
                                     tid)
-            except Exception:
+            except TabsError:
                 yield from app.abort_transaction(tid)
                 aborted[0] += 1
                 continue
@@ -129,21 +130,6 @@ def run_throughput(concurrency: int, workload: str = "disjoint",
                             pipeline=base.commit.pipeline)
 
 
-def throughput_sweep(concurrencies: list[int], workload: str,
-                     duration_ms: float = 60_000.0,
-                     workers: int = 1) -> list[ThroughputResult]:
-    """One result per concurrency, fanned over ``workers`` processes.
-
-    Delegates to :mod:`repro.perf.runner`; results come back in
-    concurrency order whatever the worker count.
-    """
-    from repro.perf.runner import run_cells, throughput_sweep_cells
-
-    return run_cells(throughput_sweep_cells(concurrencies, workload,
-                                            duration_ms),
-                     workers=workers)
-
-
 #: the two pipeline configurations compared by :func:`compare_pipelines`;
 #: both run over a serial log device so only the pipeline differs
 PIPELINE_CONFIGS: dict[str, CommitConfig] = {
@@ -163,13 +149,13 @@ def compare_pipelines(concurrencies: list[int],
     then are split back per pipeline -- the result is identical to the
     sequential nested loops for any ``workers``.
     """
-    from repro.perf.runner import run_cells, throughput_sweep_cells
+    from repro.perf.runner import run_cells, sweep_cells
 
     names = list(PIPELINE_CONFIGS)
     cells = [cell for name in names
-             for cell in throughput_sweep_cells(
-                 concurrencies, workload, duration_ms,
-                 commit=PIPELINE_CONFIGS[name])]
+             for cell in sweep_cells(
+                 "throughput", concurrencies, workload=workload,
+                 duration_ms=duration_ms, commit=PIPELINE_CONFIGS[name])]
     results = run_cells(cells, workers=workers)
     step = len(concurrencies)
     return {name: results[i * step:(i + 1) * step]

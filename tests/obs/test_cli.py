@@ -124,3 +124,29 @@ class TestProfileCommand:
         out = capsys.readouterr().out
         assert "Hot handlers" in out
         assert "datagrams_sent" in out
+
+
+class TestRegistryTargets:
+    """Any scenario of the registry is a target, not just paper keys."""
+
+    def test_metrics_of_the_availability_scenario(self, capsys):
+        assert main(["metrics", "availability"]) == 0
+        out = capsys.readouterr().out
+        assert "replication.write_all_degraded" in out
+        assert "replica.catchup_pages" in out
+
+    def test_trace_of_the_reconfig_scenario(self, tmp_path, capsys):
+        out = tmp_path / "reconfig.json"
+        assert main(["trace", "reconfig", "--out", str(out)]) == 0
+        trace = json.loads(out.read_text())
+        names = {event.get("name", "") for event in trace["traceEvents"]}
+        assert "reconfig.migrate" in names
+        assert "ui.perfetto.dev" in capsys.readouterr().out
+
+    def test_sweep_takes_any_scenario(self, capsys):
+        assert main(["sweep", "replicated", "--seeds", "3,4",
+                     "--duration-ms", "1500"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cells"] == 2
+        assert [row["seed"] for row in doc["rows"]] == [3, 4]
+        assert all(row["kind"] == "replicated" for row in doc["rows"])

@@ -15,13 +15,11 @@ from repro.core.config import CommitConfig, TabsConfig
 from repro.errors import TabsError
 from repro.perf.runner import (
     Cell,
-    chaos_soak_cells,
-    debitcredit_sweep_cells,
     result_row,
     run_cell,
     run_cells,
+    sweep_cells,
     sweep_payload,
-    throughput_sweep_cells,
 )
 
 #: short windows: these tests are about plumbing, not steady-state TPS
@@ -53,7 +51,7 @@ def test_run_cells_empty_list():
 def test_throughput_results_identical_for_any_worker_count():
     """The acceptance test: 1, 2, and oversubscribed worker counts
     produce bit-identical aggregated sweeps."""
-    cells = throughput_sweep_cells([1, 2, 3], workload="disjoint", **FAST)
+    cells = sweep_cells("throughput", [1, 2, 3], workload="disjoint", **FAST)
     reference = run_cells(cells, workers=1)
     for workers in (2, 8):
         parallel = run_cells(cells, workers=workers)
@@ -72,8 +70,8 @@ def test_throughput_results_identical_for_any_worker_count():
 def test_chaos_soak_cells_identical_across_workers():
     """Chaos cells cross the pickle boundary as plain dicts; the audited
     summary must be a pure function of the seed."""
-    cells = chaos_soak_cells([41, 42], transfers=4, episodes=2,
-                             plan_ms=2_000.0, run_ms=2_500.0)
+    cells = sweep_cells("chaos_soak", seeds=[41, 42], transfers=4,
+                        episodes=2, plan_ms=2_000.0, run_ms=2_500.0)
     reference = run_cells(cells, workers=1)
     assert run_cells(cells, workers=2) == reference
     assert [row["seed"] for row in reference] == [41, 42]
@@ -86,15 +84,15 @@ def test_debitcredit_cells_carry_the_whole_config():
     """A sweep must not silently drop config knobs on the way into the
     worker: the full frozen ``TabsConfig`` rides inside the cell."""
     config = TabsConfig(seed=77, commit=CommitConfig.grouped())
-    cells = debitcredit_sweep_cells([1], config=config, **FAST)
+    cells = sweep_cells("debitcredit", [1], config=config, **FAST)
     (result,) = run_cells(cells, workers=1)
     assert result.pipeline == "grouped"
     assert result.clients == 1
 
 
 def test_result_rows_are_json_able():
-    cells = debitcredit_sweep_cells([1], commit=CommitConfig.grouped(),
-                                    **FAST)
+    cells = sweep_cells("debitcredit", [1], commit=CommitConfig.grouped(),
+                        **FAST)
     (result,) = run_cells(cells, workers=1)
     row = result_row(cells[0], result)
     json.dumps(row)  # must not raise on the CommitConfig param

@@ -34,3 +34,31 @@ def test_runs_complete_within_duration():
     result = run_throughput(2, "disjoint", duration_ms=2_000.0)
     assert result.duration_ms == 2_000.0
     assert result.committed > 0
+
+
+# -- programming errors fail the run instead of counting as aborts ------------
+
+
+def test_debitcredit_driver_raises_on_a_defect(monkeypatch):
+    import repro.perf.debitcredit as driver
+    from repro.perf.debitcredit import run_debitcredit
+
+    def broken_txn(app, topology, spec, tid):
+        raise KeyError("defect in the transaction body")
+        yield  # a generator, like the real body
+
+    monkeypatch.setattr(driver, "debitcredit_txn", broken_txn)
+    with pytest.raises(KeyError, match="defect"):
+        run_debitcredit(1, duration_ms=1_000.0)
+
+
+def test_throughput_driver_raises_on_a_defect(monkeypatch):
+    from repro.app.library import ApplicationLibrary
+
+    def broken_call(self, ref, op, body=None, tid=None):
+        raise KeyError("defect in the call path")
+        yield  # a generator, like the real call
+
+    monkeypatch.setattr(ApplicationLibrary, "call", broken_call)
+    with pytest.raises(KeyError, match="defect"):
+        run_throughput(1, "disjoint", duration_ms=1_000.0)
